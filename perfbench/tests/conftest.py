@@ -1,0 +1,12 @@
+"""Make ``benchlib`` and the program's sources importable.
+
+Run from the repository root with ``python -m pytest perfbench/tests``.
+"""
+
+import pathlib
+import sys
+
+HERE = pathlib.Path(__file__).resolve().parent
+for path in (HERE.parent, HERE.parent.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
