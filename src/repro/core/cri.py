@@ -20,21 +20,19 @@ from repro.simthread.sync import SimLock
 class CRI:
     """One Communication Resource Instance."""
 
-    __slots__ = ("index", "context", "lock", "sends", "progress_calls", "dead")
+    __slots__ = ("index", "context", "cq", "lock", "sends", "progress_calls", "dead")
 
     def __init__(self, sched, index: int, context, lock_costs, fairness: str = "unfair"):
         self.index = index
         self.context = context
+        #: the completion queue of this CRI's network context (a plain
+        #: attribute: progress sweeps read it once per instance per round)
+        self.cq = context.cq
         self.lock = SimLock(sched, lock_costs, name=f"cri-{index}", fairness=fairness)
         self.sends = 0
         self.progress_calls = 0
         #: permanently failed (its context died); excluded from assignment
         self.dead = False
-
-    @property
-    def cq(self):
-        """The completion queue of this CRI's network context."""
-        return self.context.cq
 
     def endpoint_to(self, dst_context):
         """The wire endpoint from this CRI's context to ``dst_context``."""

@@ -38,7 +38,10 @@ class CRIPool:
         for i in range(config.num_instances):
             ctx = nic.create_context()
             self.instances.append(CRI(sched, i, ctx, costs.cri_lock_costs(), lock_fairness))
-        self._rr = AtomicCounter(sched, cost_ns=costs.atomic_rmw_ns)
+        #: Algorithm 1's shared round-robin counter; a caller takes a
+        #: ticket with its plain-call ``take``, yields its ``cost_delay``
+        #: and only then reduces the ticket modulo ``len(instances)``
+        self.rr_counter = AtomicCounter(sched, cost_ns=costs.atomic_rmw_ns)
         self._tls = ThreadLocal(sched)
         self._last_used = ThreadLocal(sched)
         self.switches = 0
@@ -93,8 +96,14 @@ class CRIPool:
     # Algorithm 1
     # ------------------------------------------------------------------
     def get_instance_round_robin(self):
-        """Generator: next instance via the shared atomic counter."""
-        ticket = yield from self._rr.fetch_add()
+        """Generator: next instance via the shared atomic counter.
+
+        The ticket is reduced modulo the live instance count after the
+        RMW delay, so a CRI failed during the RMW is already excluded.
+        """
+        counter = self.rr_counter
+        ticket = counter.take()
+        yield counter.cost_delay
         return self.instances[ticket % len(self.instances)]
 
     def get_instance_dedicated(self):
@@ -141,8 +150,3 @@ class CRIPool:
         failure, creation index and list position diverge)."""
         cri = yield from self.get_instance_dedicated()
         return self.instances.index(cri)
-
-    def round_robin_index(self):
-        """Generator: next round-robin index (Algorithm 2's fallback scan)."""
-        ticket = yield from self._rr.fetch_add()
-        return ticket % len(self.instances)

@@ -55,19 +55,19 @@ class _ProgressBase:
         self._empty_delay = Delay(costs.progress_empty_ns)
 
     def _progress_instance(self, cri):
-        """Generator: try to progress one CRI.
+        """Generator: try to progress one CRI whose CQ is not empty.
 
         Returns the number of completions, or ``None`` if the instance's
         try-lock was held (another thread is progressing it).
 
-        An instance whose CQ is empty is skipped without taking its lock:
-        emptiness is a single cached load of the CQ's producer index, the
-        standard cheap "anything pending?" hint, so sweeping many idle
-        instances costs (almost) nothing.  The sweep-level cost of an
-        entirely idle pass is charged once by the engines.
+        The engines skip an instance whose CQ is empty *before* calling
+        this, without taking its lock or creating a generator: emptiness
+        is a single cached load of the CQ's producer index, the standard
+        cheap "anything pending?" hint, so sweeping many idle instances
+        costs (almost) nothing on the simulated host and on the real one.
+        The sweep-level cost of an entirely idle pass is charged once by
+        the engines.
         """
-        if cri.cq.empty:
-            return 0
         ok = yield from cri.lock.try_acquire()
         if not ok:
             return None
@@ -115,6 +115,8 @@ class SerialProgress(_ProgressBase):
             trc.begin(tid, "progress.sweep", "progress")
         total = 0
         for cri in self.pool.instances:
+            if cri.cq.empty:
+                continue
             r = yield from self._progress_instance(cri)
             if r:
                 total += r
@@ -139,21 +141,35 @@ class ConcurrentProgress(_ProgressBase):
         if traced:
             tid = trc.thread_track(self.sched.current)
             trc.begin(tid, "progress.sweep", "progress")
-        instances = self.pool.instances
-        k = yield from self.pool.dedicated_index()
-        count = yield from self._progress_instance(instances[k])
-        if count is None:
-            self.denied += 1
-            count = 0
+        pool = self.pool
+        instances = pool.instances
+        k = yield from pool.dedicated_index()
+        cri = instances[k]
+        count = 0
+        if not cri.cq.empty:
+            count = yield from self._progress_instance(cri)
+            if count is None:
+                self.denied += 1
+                count = 0
         if count == 0:
+            # Round-robin fallback scan, in the same order as
+            # get_instance_round_robin but inline: the ticket is taken by
+            # a plain call and its RMW cost yielded here, so an idle scan
+            # creates no generator per instance.
+            counter = pool.rr_counter
+            take = counter.take
+            ticket_delay = counter.cost_delay
             for _ in range(len(instances)):
-                k = yield from self.pool.round_robin_index()
-                r = yield from self._progress_instance(instances[k])
+                ticket = take()
+                yield ticket_delay
+                cri = instances[ticket % len(instances)]
+                if cri.cq.empty:
+                    continue
+                r = yield from self._progress_instance(cri)
                 if r is None:
                     self.denied += 1
                 elif r:
-                    count += r
-                if count > 0:
+                    count = r
                     break
         if count == 0:
             yield self._empty_delay

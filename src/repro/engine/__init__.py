@@ -27,7 +27,7 @@ Layers (each in its own module):
 * :mod:`~repro.engine.journal` -- :class:`SweepJournal`, the durable
   append-only plan/outcome log that makes ``--resume`` and
   ``--shard k/N`` possible;
-* :mod:`~repro.engine.pool` -- the worker-pool executor;
+* :mod:`~repro.engine.pool` -- the serial executor and :class:`TaskOutcome`;
 * :mod:`~repro.engine.supervise` -- the supervised pool: per-trial
   timeouts, dead-worker detection, bounded retry with backoff
   (:class:`RetryPolicy`), chaos-testable via

@@ -1,15 +1,12 @@
-"""Worker-pool executor for trial tasks.
+"""In-process trial execution and the per-trial outcome record.
 
 Trials are pure and independent, so execution order cannot affect
-results; the pool maps tasks by index and the engine reassembles them in
-submission order, which is what makes ``--jobs N`` byte-identical to a
-serial run.  Parallel execution is delegated to the supervised pool
-(:mod:`repro.engine.supervise`): per-trial wall-clock timeouts, dead
-worker detection and bounded retry with exponential backoff, so one
-OOM-killed worker costs one retried trial, never the sweep.  The
-``fork`` start method is preferred (workers inherit the loaded
-registry); under ``spawn`` the worker replays ``sys.path`` and
-re-imports the experiment modules.
+results; the engine reassembles outcomes in submission order, which is
+what makes ``--jobs N`` byte-identical to a serial run.  This module
+runs tasks in the calling process; ``--jobs N`` runs go through the
+supervised pool (:mod:`repro.engine.supervise`: per-trial wall-clock
+timeouts, dead worker detection and bounded retry with exponential
+backoff), which reports the same :class:`TaskOutcome` records.
 
 Each worker reports its pid and per-task busy time so the engine can
 derive worker-utilization counters.  Those timings are host wall-clock
@@ -58,21 +55,3 @@ def run_serial(tasks: list[TrialTask], on_outcome=None,
             on_outcome(index, outcome)
     return outcomes
 
-
-def run_parallel(tasks: list[TrialTask], jobs: int, policy=None, faults=None,
-                 on_outcome=None) -> list[TaskOutcome]:
-    """Execute tasks on a supervised ``jobs``-wide pool, in submission order.
-
-    Small batches fall back to the serial path (no pool start-up cost;
-    fault plans target pool workers and are not applied there).  See
-    :func:`repro.engine.supervise.run_supervised` for the supervision
-    semantics; this wrapper discards the :class:`PoolStats` -- callers
-    that surface retry/timeout counters use ``run_supervised`` directly.
-    """
-    if jobs < 2 or len(tasks) < 2:
-        return run_serial(tasks, on_outcome=on_outcome)
-    from repro.engine.supervise import run_supervised
-
-    outcomes, _ = run_supervised(tasks, jobs, policy=policy, faults=faults,
-                                 on_outcome=on_outcome)
-    return outcomes

@@ -45,7 +45,3 @@ def resolve_trial(name: str) -> Callable:
     except KeyError:
         raise KeyError(f"unknown trial {name!r}; known: {sorted(_TRIALS)}") from None
 
-
-def registered_trials() -> tuple[str, ...]:
-    """The currently registered trial names (sorted)."""
-    return tuple(sorted(_TRIALS))

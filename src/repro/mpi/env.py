@@ -463,13 +463,16 @@ class MpiThreadEnv:
                                                 target_offset, op)
         return handle
 
+    # flush returns the ops-level generator itself instead of delegating
+    # with ``yield from``: a flush resumes once per poll, and a
+    # pass-through frame would be re-entered on every resumption.
     def flush(self, win, target: int | None = None):
         """Generator: wait for outstanding RMA ops to ``target`` (or all)."""
-        yield from _rma_ops.flush(self, win, target)
+        return _rma_ops.flush(self, win, target)
 
     def flush_all(self, win):
         """Generator: wait for outstanding RMA ops to every target."""
-        yield from _rma_ops.flush(self, win, None)
+        return _rma_ops.flush(self, win, None)
 
     def fence(self, win):
         """Generator: active-target synchronization across the window group."""

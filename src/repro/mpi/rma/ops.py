@@ -139,13 +139,17 @@ def flush(env, win, target: int | None = None):
         trc.begin(tid, "rma.flush", "rma",
                   {"outstanding": win.outstanding(env.rank, target)})
     yield Delay(costs.rma_flush_ns)
-    while win.outstanding(env.rank, target):
-        n = yield from env.progress()
-        if win.outstanding(env.rank, target):
-            yield Delay(costs.rma_flush_backoff_ns if n == 0 else costs.wait_poll_ns)
+    rank = env.rank
+    progress = env.process.progress_engine.progress
+    backoff = Delay(costs.rma_flush_backoff_ns)
+    repoll = Delay(costs.wait_poll_ns)
+    while win.outstanding(rank, target):
+        n = yield from progress()
+        if win.outstanding(rank, target):
+            yield backoff if n == 0 else repoll
     if traced:
         trc.end(tid)
-    errors = win.take_errors(env.rank)
+    errors = win.take_errors(rank)
     if errors:
         raise errors[0]
 

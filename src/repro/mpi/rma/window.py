@@ -35,7 +35,7 @@ class WindowOp(RmaOp):
         self.on_completed = self._retire
 
     def _retire(self) -> None:
-        self.window._pending[self.origin].discard(self)
+        self.window.retire(self)
 
 
 class Window:
@@ -55,6 +55,10 @@ class Window:
             rank: np.zeros(size_bytes, dtype=np.uint8) for rank in comm.ranks
         }
         self._pending: dict[int, set] = {rank: set() for rank in comm.ranks}
+        # per-initiator {target: len of that target's ops in _pending},
+        # kept beside the set so a per-target flush poll is O(1)
+        self._per_target: dict[int, dict[int, int]] = {
+            rank: {} for rank in comm.ranks}
         # per-initiator epoch state: set of target ranks (or "all"/"fence")
         self._epochs: dict[int, set] = {rank: set() for rank in comm.ranks}
         # per-initiator transport errors awaiting the next flush
@@ -110,14 +114,29 @@ class Window:
     # ------------------------------------------------------------------
     def track(self, op: WindowOp) -> None:
         """Register an in-flight RMA op for completion accounting."""
-        self._pending[op.origin].add(op)
+        pending = self._pending[op.origin]
+        if op not in pending:
+            pending.add(op)
+            counts = self._per_target[op.origin]
+            counts[op.target] = counts.get(op.target, 0) + 1
+
+    def retire(self, op: WindowOp) -> None:
+        """Drop a completed op from the accounting.
+
+        Idempotent: the hardware-counter completion, the CQ dispatch and
+        the ERRORS_RETURN transport-failure path may each retire the
+        same op.
+        """
+        pending = self._pending[op.origin]
+        if op in pending:
+            pending.remove(op)
+            self._per_target[op.origin][op.target] -= 1
 
     def outstanding(self, origin: int, target: int | None = None) -> int:
         """Count ``origin``'s in-flight ops (optionally to one ``target``)."""
-        ops = self._pending[origin]
         if target is None:
-            return len(ops)
-        return sum(1 for op in ops if op.target == target)
+            return len(self._pending[origin])
+        return self._per_target[origin].get(target, 0)
 
     def note_error(self, origin: int, error: Exception) -> None:
         """Record a transport failure for ``origin``'s next flush

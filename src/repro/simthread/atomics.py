@@ -20,16 +20,16 @@ from repro.simthread.scheduler import Delay
 class AtomicCounter:
     """Atomic integer with fetch-and-add semantics."""
 
-    __slots__ = ("_sched", "_value", "cost_ns", "operations", "_cost_delay")
+    __slots__ = ("_sched", "_value", "cost_ns", "operations", "cost_delay")
 
     def __init__(self, sched, start: int = 0, cost_ns: int = 30):
         self._sched = sched
         self._value = start
         self.cost_ns = cost_ns
         self.operations = 0
-        # one reusable record for the constant RMW cost (hot: sequence
-        # counters and round-robin tickets hit this per message)
-        self._cost_delay = Delay(cost_ns)
+        #: one reusable record for the constant RMW cost (hot: sequence
+        #: counters and round-robin tickets hit this per message)
+        self.cost_delay = Delay(cost_ns)
 
     @property
     def value(self) -> int:
@@ -38,17 +38,28 @@ class AtomicCounter:
 
     def fetch_add(self, n: int = 1):
         """Generator: atomically add ``n``; returns the previous value."""
+        old = self.take(n)
+        yield self.cost_delay
+        return old
+
+    def take(self, n: int = 1) -> int:
+        """Plain-call half of :meth:`fetch_add`: add ``n`` and count the
+        operation now, returning the previous value.
+
+        The caller must then ``yield`` :attr:`cost_delay` itself; that is
+        all :meth:`fetch_add` adds, so a loop taking many tickets can do
+        it inline without creating a generator per ticket.
+        """
         old = self._value
         self._value += n
         self.operations += 1
-        yield self._cost_delay
         return old
 
     def store(self, value: int):
         """Generator: atomic store."""
         self._value = value
         self.operations += 1
-        yield self._cost_delay
+        yield self.cost_delay
 
 
 class AtomicFlag:

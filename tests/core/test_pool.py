@@ -117,19 +117,45 @@ def test_dedicated_never_switches(sched):
     assert pool.switches == 0
 
 
-def test_dedicated_index_and_round_robin_index(sched):
+def test_dedicated_index_and_round_robin_ticket(sched):
     pool = make_pool(sched, instances=3, assignment="dedicated")
     log = {}
 
     def worker(i):
         k1 = yield from pool.dedicated_index()
         k2 = yield from pool.dedicated_index()
-        r = yield from pool.round_robin_index()
-        log[i] = (k1, k2, r)
+        before = sched.now
+        ticket = pool.rr_counter.take()
+        yield pool.rr_counter.cost_delay
+        log[i] = (k1, k2, ticket, sched.now - before)
 
     for i in range(2):
         sched.spawn(worker(i))
     sched.run()
-    for k1, k2, _ in log.values():
+    for k1, k2, _, cost in log.values():
         assert k1 == k2  # dedicated index is stable
+        assert cost > 0  # the caller pays the RMW
     assert log[0][0] != log[1][0]
+    # the two first-touch assignments took tickets 0 and 1
+    assert sorted(t for _, _, t, _ in log.values()) == [2, 3]
+
+
+def test_round_robin_ticket_reduces_over_live_instances(sched):
+    """A ticket is reduced modulo the live instance count after its RMW
+    delay, on the plain-call path as on Algorithm 1's generator path."""
+    pool = make_pool(sched, instances=3, assignment="round_robin")
+    picks = []
+
+    def worker():
+        for _ in range(2):
+            yield from pool.get_instance_round_robin()  # tickets 0, 1
+        ticket = pool.rr_counter.take()  # 2
+        pool.fail_instance(0)  # lands inside the RMW delay
+        yield pool.rr_counter.cost_delay
+        picks.append(pool.instances[ticket % len(pool.instances)].index)
+        cri = yield from pool.get_instance_round_robin()  # ticket 3
+        picks.append(cri.index)
+
+    sched.spawn(worker())
+    sched.run()
+    assert picks == [1, 2]

@@ -165,3 +165,58 @@ def test_unknown_progress_mode_rejected():
     bogus = SimpleNamespace(progress="psychic", num_instances=1)
     with pytest.raises(ValueError, match="unknown progress mode"):
         make_progress_engine(sched, pool, bogus, CostModel(), None)
+
+
+# ----------------------------------------------------------------------
+# idle rounds: an instance whose CQ is empty is skipped before its lock
+# is touched, so an idle round charges only the engine-level costs
+# ----------------------------------------------------------------------
+IDLE_INSTANCES = 5
+
+
+def _assert_instances_untouched(pool):
+    for cri in pool.instances:
+        assert cri.progress_calls == 0
+        assert cri.lock.acquisitions == 0
+        assert cri.lock.tryfails == 0
+
+
+def test_concurrent_idle_round_costs_n_plus_one_events(sched):
+    pool, engine, _ = build(sched, instances=IDLE_INSTANCES, progress="concurrent")
+    seen = {}
+
+    def worker():
+        yield from pool.dedicated_index()  # first touch: assign up front
+        ops_before = pool.rr_counter.operations
+        events_before = sched.events_processed
+        n = yield from engine.progress()
+        seen["events"] = sched.events_processed - events_before
+        seen["tickets"] = pool.rr_counter.operations - ops_before
+        return n
+
+    t = sched.spawn(worker())
+    sched.run()
+    assert t.result == 0
+    # one RMW delay per fallback ticket, then the empty-round delay
+    assert seen == {"events": IDLE_INSTANCES + 1,
+                    "tickets": IDLE_INSTANCES}
+    _assert_instances_untouched(pool)
+    assert engine.calls == 1 and engine.denied == 0
+
+
+@pytest.mark.parametrize("rounds", [1, 3])
+def test_serial_idle_round_takes_only_the_global_lock(sched, rounds):
+    pool, engine, _ = build(sched, instances=IDLE_INSTANCES, progress="serial")
+
+    def worker():
+        total = 0
+        for _ in range(rounds):
+            total += yield from engine.progress()
+        return total
+
+    t = sched.spawn(worker())
+    sched.run()
+    assert t.result == 0
+    assert engine.global_lock.acquisitions == rounds
+    _assert_instances_untouched(pool)
+

@@ -48,6 +48,34 @@ class TestAtomicCounter:
         sched.run()
         assert ctr.value == 99
 
+    def test_take_then_cost_delay_matches_fetch_add(self):
+        """``take`` + yielding ``cost_delay`` is ``fetch_add`` split in two:
+        the value and the operation count move at once, the time when the
+        caller yields."""
+        runs = {}
+        for mode in ("fetch_add", "take"):
+            sched = Scheduler(seed=3, jitter=0.1)
+            ctr = AtomicCounter(sched, start=2, cost_ns=77)
+            seen = []
+
+            def body():
+                for _ in range(3):
+                    if mode == "fetch_add":
+                        v = yield from ctr.fetch_add(4)
+                    else:
+                        v = ctr.take(4)
+                        assert ctr.value == v + 4 and sched.now == before[-1]
+                        yield ctr.cost_delay
+                    seen.append((v, sched.now))
+                    before.append(sched.now)
+
+            before = [0]
+            sched.spawn(body())
+            sched.run()
+            runs[mode] = (seen, ctr.value, ctr.operations)
+        assert runs["take"] == runs["fetch_add"]
+        assert runs["take"][1:] == (14, 3)
+
 
 class TestAtomicFlag:
     def test_test_and_set(self):
