@@ -10,8 +10,10 @@ attached at once:
   ``sys.setprofile`` call accumulator producing per-function and
   folded-stack tables;
 * a :class:`~repro.simthread.stats.SchedStats` -- scheduler-level
-  counters (events per command kind, heap traffic, generator steps)
-  plus per-:class:`~repro.simthread.sync.SimLock` acquisition rows;
+  counters (events per command kind, heap traffic, generator steps),
+  derived from the counts of the same loop body ``repro run``
+  executes, plus per-:class:`~repro.simthread.sync.SimLock`
+  acquisition rows;
 * a :class:`~repro.obs.profile.phases.PhaseSampler` -- attribution of
   host nanoseconds to virtual-time phases.
 
@@ -79,8 +81,8 @@ def profile_run(exp_id: str, seed: int = 1, phases: int = DEFAULT_PHASES,
     Two passes: an uninstrumented run first learns the total virtual
     time (cheap -- the scenarios are small and seeded), fixing the
     phase width at ``elapsed // phases`` so phase boundaries are
-    deterministic; the second pass runs with the profiler, scheduler
-    stats and phase sampler attached.  ``micro=True`` uses the scaled-
+    deterministic; the second pass runs with the profiler and phase
+    sampler attached and scheduler stats counted.  ``micro=True`` uses the scaled-
     down scenario shape for smoke tests.
     """
     if phases < 1:
@@ -96,7 +98,7 @@ def profile_run(exp_id: str, seed: int = 1, phases: int = DEFAULT_PHASES,
 
     def instrument(sched, world):
         captured["sched"] = sched
-        sched.set_stats(SchedStats())
+        captured["stats"] = SchedStats(sched)
         sampler.attach(sched)
         profiler.start()
 
@@ -114,7 +116,6 @@ def profile_run(exp_id: str, seed: int = 1, phases: int = DEFAULT_PHASES,
     if elapsed2 != elapsed:  # pragma: no cover - determinism guard
         raise RuntimeError(f"profiled run diverged: {elapsed} != {elapsed2} "
                            "(instrumentation must not perturb the schedule)")
-    stats = sched.stats
     profile = ProfileResult(
         exp_id=exp_id,
         seed=seed,
@@ -123,11 +124,10 @@ def profile_run(exp_id: str, seed: int = 1, phases: int = DEFAULT_PHASES,
         elapsed_ns=elapsed2,
         events_processed=sched.events_processed,
         host_wall_ns=host_wall,
-        sched=stats.as_dict() if stats is not None else {},
+        sched=captured["stats"].as_dict(),
         phases=list(sampler.rows),
         locks=lock_rows(sched),
         functions=profiler.function_rows(),
         folded=profiler.folded_rows(),
     )
-    sched.set_stats(None)
     return profile

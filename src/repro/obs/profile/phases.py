@@ -1,7 +1,7 @@
 """Virtual-time phase attribution for host nanoseconds.
 
-The scheduler's sampler hook fires deterministically -- at the first
-event whose virtual time reaches ``due`` -- so slicing a run into
+The scheduler's sampler hook fires deterministically -- before the
+first event whose virtual time reaches ``due`` -- so slicing a run into
 phases of ``phase_ns`` virtual nanoseconds yields phase boundaries,
 event counts and generator-step counts that are pure functions of the
 seed.  Only the host-nanosecond column varies run to run, and it is
@@ -16,15 +16,20 @@ from __future__ import annotations
 
 import time
 
+from repro.simthread.stats import SchedStats
+
 
 class PhaseSampler:
     """Scheduler sampler that buckets host time by virtual-time phase.
 
-    Install via ``sched.set_stats`` + ``sched.set_sampler`` (the
-    profiler does both); call :meth:`finalize` after ``sched.run()`` to
-    flush the last partial phase.  Each row is ``(start_ns, end_ns,
-    events, gen_steps, host_ns)`` where ``end_ns`` is the virtual time
-    of the first event at-or-past the phase boundary (deterministic).
+    Install via :meth:`attach` (it installs the sampler and takes a
+    :class:`~repro.simthread.stats.SchedStats` snapshot); call
+    :meth:`finalize` after ``sched.run()`` to flush the last partial
+    phase.  Each row is ``(start_ns, end_ns, events, gen_steps,
+    host_ns)`` where ``end_ns`` is the virtual time of the first event
+    at-or-past the phase boundary (deterministic).  That event counts
+    in the closing phase's ``events``; its generator step, which runs
+    after the hook, counts in the next phase's ``gen_steps``.
     """
 
     def __init__(self, phase_ns: int, clock=time.perf_counter_ns):
@@ -35,6 +40,7 @@ class PhaseSampler:
         self.rows: list[dict] = []
         self._clock = clock
         self._sched = None
+        self._stats = None
         self._start_vns = 0
         self._start_host = 0
         self._start_events = 0
@@ -47,14 +53,13 @@ class PhaseSampler:
         self._start_vns = sched.now
         self._start_host = self._clock()
         self._start_events = sched.events_processed
-        stats = sched.stats
-        self._start_steps = stats.gen_steps if stats is not None else 0
+        self._stats = SchedStats(sched)
+        self._start_steps = 0
 
     def _flush(self, now: int) -> None:
         sched = self._sched
         host = self._clock()
-        stats = sched.stats
-        steps = stats.gen_steps if stats is not None else 0
+        steps = self._stats.gen_steps
         self.rows.append({
             "start_ns": self._start_vns,
             "end_ns": now,
@@ -86,8 +91,7 @@ class PhaseSampler:
         if self._sched.events_processed != self._start_events or not self.rows:
             self._flush(now)
         else:
-            stats = self._sched.stats
-            steps = stats.gen_steps if stats is not None else 0
+            steps = self._stats.gen_steps
             last = self.rows[-1]
             last["gen_steps"] += steps - self._start_steps
             last["host_ns"] += self._clock() - self._start_host

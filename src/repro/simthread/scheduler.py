@@ -9,7 +9,7 @@ Simulated threads communicate with the scheduler by yielding *commands*:
 
 ``Delay(ns)``
     Resume this thread after ``ns`` nanoseconds of virtual time (optionally
-    jittered to model run-to-run hardware variation).
+    perturbed by jitter to model run-to-run hardware variation).
 
 ``YieldNow()``
     Cooperative yield: resume at the same virtual time, after every event
@@ -27,25 +27,21 @@ Hot-loop design (see ``docs/PERFORMANCE.md``)
 Event records are bare tuples on the heap: ``(when, tick, item)`` where
 ``item`` is either a :class:`SimThread` or a plain ``(fn, args)`` tuple
 for a :meth:`call_at` callback -- no per-event wrapper objects are
-allocated.  The loop itself comes in two interchangeable bodies:
+allocated.  :meth:`run` is the only loop body, whether or not anything
+observes it: heap ops, the rng, the tick counter and the loop's counts
+are bound to locals, and the most frequent command (``Delay``) is
+tested first.
 
-* :meth:`_run_fast` -- the default.  Chosen when no stats, sampler,
-  watchdog or event/time bound is installed; everything (heap ops, the
-  rng, the tick counter, command dispatch) is bound to locals and the
-  per-command branches are inlined, with the most frequent command
-  (``Delay``) tested first.
-* :meth:`_run_full` -- the instrumented body.  Identical event semantics
-  plus the per-event ``is not None`` hooks (sampler, watchdog,
-  :class:`~repro.simthread.stats.SchedStats` counters, ``max_time`` /
-  ``max_events`` bounds).
-
-:meth:`run` picks the body per call, which hoists every observability
-branch out of the uninstrumented loop entirely.  Both bodies consume the
-tick counter and the rng in the same order, so the schedule -- and every
-deterministic artifact derived from it -- is byte-identical regardless of
-which body ran.  Installing a sampler/watchdog/stats *while the loop is
-running* is not supported (install before :meth:`run`, as all in-tree
-callers do).
+Observability adds one int compare per event: the sampler and the
+watchdog (*hooks*) share one local ``due``, the smallest among them.
+Every hook keeps ``due`` past the time it last ran, so hooks fire at
+most once per instant, before its first event, and a hook already due
+at entry fires at the first event.  The
+:class:`~repro.simthread.stats.SchedStats` counters are derived from
+counts the loop keeps in branches it already has (callbacks, yields,
+suspends, thread ends, stale entries) plus ``events_processed``; the
+loop keeps the former in locals and writes them back when a hook fires
+and when :meth:`run` returns.
 """
 
 from __future__ import annotations
@@ -57,6 +53,9 @@ import random
 from repro.obs.tracer import NULL_TRACER
 from repro.simthread.errors import DeadlockError, SimThreadError
 from repro.simthread.thread import SimThread
+
+#: hook ``due`` when no hook is installed: past any reachable virtual time
+_NEVER = 1 << 63
 
 
 class Delay:
@@ -118,6 +117,7 @@ class Scheduler:
         self._now: int = 0
         self.rng = random.Random(seed)
         self.jitter = float(jitter)
+        #: events popped so far (kept current while :meth:`run` runs)
         self.events_processed: int = 0
         self.current: SimThread | None = None
         #: observability hook; a no-op NullTracer unless a
@@ -128,10 +128,17 @@ class Scheduler:
         self._threads: list[SimThread] = []
         self._locks: list = []
         self._nparked = 0
-        self._failure: BaseException | None = None
         self._sampler = None
         self._watchdog = None
-        self._stats = None
+        # loop counts behind SchedStats, written back when a hook fires
+        # and when run() returns
+        self._callbacks = 0
+        self._yields = 0
+        self._suspends = 0
+        self._ends = 0       # generator steps that finished or aborted a thread
+        self._stale = 0      # heap entries of already-finished threads
+        self._wakes = 0
+        self._inflight = 0   # popped events a hook saw before their dispatch
 
     @property
     def now(self) -> int:
@@ -147,29 +154,14 @@ class Scheduler:
         """Install (or, with ``None``, remove) a metrics sampler.
 
         The sampler must expose ``due`` (next virtual time it wants to
-        run, ns) and ``sample(now)``; the event loop invokes it whenever
-        virtual time reaches ``due``.  Used by
-        :class:`repro.obs.MetricsRegistry` for interval time-series
-        without keeping the event heap artificially alive.  Install
-        before :meth:`run`; the loop body is selected per run() call.
+        run, ns) and ``sample(now)``; the event loop invokes it before
+        the first event at or past ``due``, and ``sample`` must move
+        ``due`` past ``now``.  Used by :class:`repro.obs.MetricsRegistry`
+        for interval time-series without keeping the event heap
+        artificially alive.  Install before :meth:`run` or from inside a
+        hook; :meth:`run` reads ``due`` at entry and after each hook.
         """
         self._sampler = sampler
-
-    def set_stats(self, stats) -> None:
-        """Install (or, with ``None``, remove) a :class:`SchedStats`.
-
-        When present (see :mod:`repro.simthread.stats`), the event loop
-        tallies heap traffic, generator steps and per-kind dispatch
-        counts into it.  The counters are deterministic per seed; with
-        no stats (and no sampler/watchdog) installed the loop runs the
-        branch-free fast body, so unprofiled runs pay nothing at all.
-        """
-        self._stats = stats
-
-    @property
-    def stats(self):
-        """The installed :class:`SchedStats`, or None when not profiling."""
-        return self._stats
 
     @property
     def locks(self) -> tuple:
@@ -197,11 +189,9 @@ class Scheduler:
         """Register a generator as a new simulated thread, runnable now."""
         if not hasattr(gen, "send"):
             raise SimThreadError(f"spawn() needs a generator, got {type(gen).__name__}")
-        if self._stats is not None:
-            self._stats.spawns += 1
         thread = SimThread(self, gen, name or f"thread-{len(self._threads)}")
         self._threads.append(thread)
-        self._push(thread, self._now, None)
+        heapq.heappush(self._heap, (self._now, next(self._tick), thread))
         return thread
 
     @property
@@ -212,13 +202,6 @@ class Scheduler:
     # ------------------------------------------------------------------
     # event plumbing
     # ------------------------------------------------------------------
-    def _push(self, thread: SimThread, when: int, value) -> None:
-        thread._resume_value = value
-        thread._parked = False
-        if self._stats is not None:
-            self._stats.heap_pushes += 1
-        heapq.heappush(self._heap, (when, next(self._tick), thread))
-
     def wake(self, thread: SimThread, value=None, delay: int = 0) -> None:
         """Unpark a suspended thread, resuming it ``delay`` ns from now.
 
@@ -230,9 +213,10 @@ class Scheduler:
         if not thread._parked:
             raise SimThreadError(f"thread {thread.name} is not parked")
         self._nparked -= 1
-        if self._stats is not None:
-            self._stats.wakes += 1
-        self._push(thread, self._now + delay, value)
+        self._wakes += 1
+        thread._resume_value = value
+        thread._parked = False
+        heapq.heappush(self._heap, (self._now + delay, next(self._tick), thread))
 
     def call_at(self, when: int, fn, *args) -> None:
         """Run a plain callback (not a thread) at virtual time ``when``.
@@ -242,53 +226,63 @@ class Scheduler:
         stored as a bare ``(fn, args)`` tuple on the heap -- no wrapper
         object is allocated per event.
         """
-        if self._stats is not None:
-            self._stats.heap_pushes += 1
         heapq.heappush(self._heap, (when, next(self._tick), (fn, args)))
-
-    def jittered(self, ns: int) -> int:
-        """Apply the configured relative jitter to a cost in nanoseconds."""
-        if ns <= 0:
-            return 0
-        if self.jitter:
-            return max(0, int(ns * (1.0 + self.jitter * (2.0 * self.rng.random() - 1.0))))
-        return ns
 
     # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------
-    def run(self, max_time: int | None = None, max_events: int | None = None) -> int:
+    def _hooks_due(self) -> int:
+        """The smallest ``due`` among the installed hooks (or ``_NEVER``)."""
+        due = _NEVER
+        for hook in (self._sampler, self._watchdog):
+            if hook is not None and hook.due < due:
+                due = hook.due
+        return due
+
+    def _fire_hooks(self, now: int) -> int:
+        """Run every hook due at ``now``; return the next ``due``.
+
+        The event that reached ``due`` is already in ``events_processed``
+        but not yet dispatched; ``_inflight`` tells SchedStats so, and
+        stays raised if a hook aborts the run (the event never runs).
+        """
+        self._inflight += 1
+        sampler = self._sampler
+        if sampler is not None and now >= sampler.due:
+            sampler.sample(now)
+        watchdog = self._watchdog
+        if watchdog is not None and now >= watchdog.due:
+            watchdog.check(now)
+        self._inflight -= 1
+        due = self._hooks_due()
+        if due <= now:
+            raise SimThreadError(
+                f"a scheduler hook left due={due} at or before now={now}")
+        return due
+
+    def _store_counts(self, callbacks, yields, suspends, ends, stale) -> None:
+        self._callbacks = callbacks
+        self._yields = yields
+        self._suspends = suspends
+        self._ends = ends
+        self._stale = stale
+
+    def run(self) -> int:
         """Drain the event heap; return the final virtual time in ns.
 
-        Dispatches to the uninstrumented fast body when possible (no
-        stats/sampler/watchdog and no bounds) and to the full body
-        otherwise; both produce the same schedule.
+        Installed hooks run before the first event at or past their
+        ``due``; a hook already due at entry runs before the first event.
 
         Raises
         ------
         DeadlockError
             If the heap empties while threads remain parked.
+        SimThreadError
+            If a thread yields an unknown command, or a hook leaves its
+            ``due`` at or before the time it ran.
         Exception
-            Any exception escaping a thread body is re-raised here (the
-            simulation is aborted at that point).
-        """
-        if (max_time is None and max_events is None and self._stats is None
-                and self._sampler is None and self._watchdog is None):
-            self._run_fast()
-        else:
-            self._run_full(max_time, max_events)
-        if max_time is None and self._nparked:
-            parked = [t for t in self._threads if t._parked and not t.done]
-            if parked:
-                raise DeadlockError(parked)
-        return self._now
-
-    def _run_fast(self) -> None:
-        """Uninstrumented loop body: everything in locals, branches inlined.
-
-        Event semantics are identical to :meth:`_run_full` with every
-        hook absent; the tick counter and rng are consumed in the same
-        order, keeping the schedule byte-identical.
+            Any exception escaping a thread body or a hook is re-raised
+            here (the simulation is aborted at that point).
         """
         heap = self._heap
         heappop = heapq.heappop
@@ -296,131 +290,78 @@ class Scheduler:
         tick = self._tick.__next__
         rng_random = self.rng.random
         jitter = self.jitter
-        now = self._now
-        while heap:
-            when, _, item = heappop(heap)
-            if when != now:  # batch same-instant wakeups: one store per instant
-                now = when
-                self._now = when
-            self.events_processed += 1
-            if item.__class__ is tuple:
-                item[0](*item[1])
-                continue
-            if item.done:  # stale heap entry for an aborted thread
-                continue
-            value = item._resume_value
-            if value is not None:
-                item._resume_value = None
-            self.current = item
-            try:
-                cmd = item._send(value)
-            except StopIteration as stop:
-                self.current = None
-                item._finish(stop.value)
-                continue
-            except Exception as exc:
-                self.current = None
-                item._abort(exc)
-                raise
-            except BaseException:
-                self.current = None
-                raise
-            self.current = None
-            cls = cmd.__class__
-            if cls is Delay:  # by far the most frequent command
-                ns = cmd.ns
-                if cmd.jitter:
-                    if ns <= 0:
-                        ns = 0
-                    elif jitter:
-                        ns = int(ns * (1.0 + jitter * (2.0 * rng_random() - 1.0)))
-                        if ns < 0:
-                            ns = 0
-                item._run_ns += ns
-                heappush(heap, (when + ns, tick(), item))
-            elif cmd is SUSPEND:
-                item._parked = True
-                self._nparked += 1
-            elif cls is YieldNow:
-                heappush(heap, (when, tick(), item))
-            else:
-                exc = SimThreadError(
-                    f"thread {item.name} yielded unknown command {cmd!r}")
-                item._abort(exc)
-                raise exc
-
-    def _run_full(self, max_time: int | None, max_events: int | None) -> None:
-        """Instrumented loop body: sampler/watchdog/stats hooks + bounds."""
-        heap = self._heap
-        stats = self._stats
-        while heap:
-            when, _, item = heapq.heappop(heap)
-            if stats is not None:
-                stats.heap_pops += 1
-            if max_time is not None and when > max_time:
-                heapq.heappush(heap, (when, next(self._tick), item))
-                if stats is not None:
-                    stats.heap_pushes += 1
-                break
-            self._now = when
-            self.events_processed += 1
-            sampler = self._sampler
-            if sampler is not None and when >= sampler.due:
-                sampler.sample(when)
-            watchdog = self._watchdog
-            if watchdog is not None and when >= watchdog.due:
-                watchdog.check(when)
-            if max_events is not None and self.events_processed > max_events:
-                raise SimThreadError(f"exceeded max_events={max_events} (runaway simulation?)")
-            if item.__class__ is tuple:
-                if stats is not None:
-                    stats.events_callback += 1
-                item[0](*item[1])
-                continue
-            if item.done:  # stale heap entry for an aborted thread
-                continue
-            self._step(item)
-            if self._failure is not None:
-                failure, self._failure = self._failure, None
-                raise failure
-
-    def _step(self, thread: SimThread) -> None:
-        value = thread._resume_value
-        thread._resume_value = None
-        stats = self._stats
-        if stats is not None:
-            stats.gen_steps += 1
-        self.current = thread
+        due = self._hooks_due()
+        callbacks = self._callbacks
+        yields = self._yields
+        suspends = self._suspends
+        ends = self._ends
+        stale = self._stale
         try:
-            try:
-                cmd = thread._send(value)
-            except StopIteration as stop:
-                thread._finish(stop.value)
-                return
-            except Exception as exc:
-                thread._abort(exc)
-                self._failure = exc
-                return
+            while heap:
+                when, _, item = heappop(heap)
+                self._now = when
+                self.events_processed += 1
+                if when >= due:
+                    self._store_counts(callbacks, yields, suspends, ends,
+                                       stale)
+                    due = self._fire_hooks(when)
+                if item.__class__ is tuple:
+                    callbacks += 1
+                    item[0](*item[1])
+                    continue
+                if item.done:  # stale heap entry for an aborted thread
+                    stale += 1
+                    continue
+                value = item._resume_value
+                if value is not None:
+                    item._resume_value = None
+                self.current = item
+                try:
+                    cmd = item._send(value)
+                except StopIteration as stop:
+                    self.current = None
+                    ends += 1
+                    item._finish(stop.value)
+                    continue
+                except Exception as exc:
+                    self.current = None
+                    ends += 1
+                    item._abort(exc)
+                    raise
+                except BaseException:
+                    self.current = None
+                    ends += 1
+                    raise
+                self.current = None
+                cls = cmd.__class__
+                if cls is Delay:  # by far the most frequent command
+                    ns = cmd.ns
+                    if cmd.jitter:
+                        if ns <= 0:
+                            ns = 0
+                        elif jitter:
+                            ns = int(ns * (1.0 + jitter * (2.0 * rng_random() - 1.0)))
+                            if ns < 0:
+                                ns = 0
+                    item._run_ns += ns
+                    heappush(heap, (when + ns, tick(), item))
+                elif cmd is SUSPEND:
+                    suspends += 1
+                    item._parked = True
+                    self._nparked += 1
+                elif cls is YieldNow:
+                    yields += 1
+                    heappush(heap, (when, tick(), item))
+                else:
+                    ends += 1
+                    exc = SimThreadError(
+                        f"thread {item.name} yielded unknown command {cmd!r}")
+                    item._abort(exc)
+                    raise exc
         finally:
-            self.current = None
-
-        cls = cmd.__class__
-        if cls is Delay:
-            ns = self.jittered(cmd.ns) if cmd.jitter else cmd.ns
-            thread._run_ns += ns
-            if stats is not None:
-                stats.events_delay += 1
-            self._push(thread, self._now + ns, None)
-        elif cmd is SUSPEND:
-            thread._parked = True
-            self._nparked += 1
-            if stats is not None:
-                stats.events_suspend += 1
-        elif cls is YieldNow:
-            if stats is not None:
-                stats.events_yield += 1
-            self._push(thread, self._now, None)
-        else:
-            exc = SimThreadError(f"thread {thread.name} yielded unknown command {cmd!r}")
-            thread._abort(exc)
-            self._failure = exc
+            self._store_counts(callbacks, yields, suspends, ends, stale)
+        if self._nparked:
+            parked = [t for t in self._threads if t._parked and not t.done]
+            if parked:
+                raise DeadlockError(parked)
+        return self._now

@@ -1,51 +1,82 @@
 """Scheduler-level event counters behind the host-time profiler.
 
-:class:`SchedStats` tallies what the event loop actually does -- events
+:class:`SchedStats` reports what the event loop actually did -- events
 dispatched per command kind, heap pushes/pops, generator steps, wakes
 and spawns.  Everything here is a pure function of the seed: the counts
 describe the *simulation's* control flow, not the host's clock, so the
 profiler can gate on them while treating host nanoseconds as weather.
 
-The scheduler carries no stats object by default; installing one via
-:meth:`repro.simthread.scheduler.Scheduler.set_stats` costs the hot
-loop one attribute load and branch per operation (the same pattern the
-tracer uses), so unprofiled runs are unaffected.
+Nothing is installed on the scheduler.  :meth:`Scheduler.run` keeps a
+few counts in branches it already has (callbacks, yields, suspends,
+thread ends, stale heap entries; ``wake`` counts wakes) and the rest is
+derived: every non-callback, non-stale event is one generator step,
+every step not ending in a yield, suspend or thread end is a
+``Delay``, every event is one heap pop, and every push is either popped
+or still on the heap.  A :class:`SchedStats` is a snapshot of those
+totals; :meth:`SchedStats.as_dict` returns the change since it was
+taken.  The totals are current outside ``run()`` and inside scheduler
+hooks (sampler, watchdog), which is where the profiler reads them.
 """
 
 from __future__ import annotations
 
 
+def _totals(sched) -> dict:
+    """The scheduler's lifetime counters, in the documented key order."""
+    events = sched.events_processed
+    callbacks = sched._callbacks
+    yields = sched._yields
+    suspends = sched._suspends
+    steps = events - callbacks - sched._stale - sched._inflight
+    return {
+        "events_delay": steps - yields - suspends - sched._ends,
+        "events_yield": yields,
+        "events_suspend": suspends,
+        "events_callback": callbacks,
+        "heap_pushes": events + len(sched._heap),
+        "heap_pops": events,
+        "gen_steps": steps,
+        "wakes": sched._wakes,
+        "spawns": len(sched._threads),
+    }
+
+
 class SchedStats:
-    """Deterministic tallies of one scheduler's event-loop activity."""
+    """Deterministic tallies of one scheduler's event loop since creation.
 
-    __slots__ = ("events_delay", "events_yield", "events_suspend",
-                 "events_callback", "heap_pushes", "heap_pops",
-                 "gen_steps", "wakes", "spawns")
+    Each counter is readable as an attribute (``stats.gen_steps``):
 
-    def __init__(self):
-        self.events_delay = 0      #: Delay commands dispatched
-        self.events_yield = 0      #: YieldNow commands dispatched
-        self.events_suspend = 0    #: SUSPEND commands dispatched (parks)
-        self.events_callback = 0   #: call_at callbacks executed
-        self.heap_pushes = 0       #: event-heap insertions
-        self.heap_pops = 0         #: event-heap removals
-        self.gen_steps = 0         #: generator send() resumptions
-        self.wakes = 0             #: explicit wake() calls
-        self.spawns = 0            #: threads spawned
+    ``events_delay`` / ``events_yield`` / ``events_suspend``
+        ``Delay`` / ``YieldNow`` / ``SUSPEND`` commands dispatched;
+    ``events_callback``
+        ``call_at`` callbacks executed;
+    ``heap_pushes`` / ``heap_pops``
+        event-heap insertions / removals;
+    ``gen_steps``
+        generator ``send()`` resumptions;
+    ``wakes`` / ``spawns``
+        explicit ``wake()`` calls / threads spawned.
+    """
+
+    __slots__ = ("_sched", "_base")
+
+    def __init__(self, sched):
+        self._sched = sched
+        self._base = _totals(sched)
 
     def as_dict(self) -> dict:
-        """Flat ``{counter: value}`` in a fixed, documented order."""
-        return {
-            "events_delay": self.events_delay,
-            "events_yield": self.events_yield,
-            "events_suspend": self.events_suspend,
-            "events_callback": self.events_callback,
-            "heap_pushes": self.heap_pushes,
-            "heap_pops": self.heap_pops,
-            "gen_steps": self.gen_steps,
-            "wakes": self.wakes,
-            "spawns": self.spawns,
-        }
+        """Flat ``{counter: change since creation}`` in a fixed order."""
+        base = self._base
+        return {key: value - base[key]
+                for key, value in _totals(self._sched).items()}
+
+    def __getattr__(self, name):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        try:
+            return self.as_dict()[name]
+        except KeyError:
+            raise AttributeError(name) from None
 
 
 def lock_rows(sched) -> list[dict]:

@@ -1,8 +1,8 @@
 """Scheduler watchdog: turn silent no-progress into a diagnosable error.
 
 The watchdog piggybacks on the event loop exactly like the metrics
-sampler (see :meth:`Scheduler.set_watchdog`): whenever virtual time
-reaches ``due`` it checks how long it has been since anyone called
+sampler (see :meth:`Scheduler.set_watchdog`): before the first event
+at or past ``due`` it checks how long it has been since anyone called
 :meth:`Watchdog.note`.  Components that *complete* work (the MPI event
 dispatcher) note the watchdog; if the gap exceeds ``stall_ns`` while the
 ``pending`` probe reports outstanding work, the run is aborted with a

@@ -32,8 +32,7 @@ def _sched_stats(x, seed, **_extra):
         yield YieldNow()
 
     sched = Scheduler(jitter=0.0, seed=seed)
-    stats = SchedStats()
-    sched.set_stats(stats)
+    stats = SchedStats(sched)
     sched.spawn(body())
     sched.run()
     return {"gen_steps": stats.gen_steps, "spawns": stats.spawns,

@@ -6,6 +6,7 @@ from repro.obs.profile import DEFAULT_PHASES, profile_run
 from repro.obs.profile.hostprof import HostProfiler, code_key
 from repro.obs.profile.report import counters_text, folded_text, profile_report
 from repro.obs.scenarios import representative_run
+from tests.test_golden_identity import check_golden
 
 
 def leaf():
@@ -104,6 +105,24 @@ def test_folded_stacks_deterministic_modulo_host_ns(micro_profile):
                 for line in folded_text(result).splitlines()]
 
     assert stacks_and_calls(micro_profile) == stacks_and_calls(again)
+
+
+def _counter_sections(result) -> bytes:
+    """``counters_text`` without the functions table.
+
+    The header and the ``[scheduler]``, ``[locks]`` and ``[phases]``
+    sections count simulated work; the call-count table also counts the
+    simulator's own helper functions, which legitimately change when
+    code is restructured.
+    """
+    return counters_text(result).split("\n[functions")[0].encode("ascii")
+
+
+@pytest.mark.parametrize("exp", ("fig3a", "chaos"))
+def test_profile_counters_match_golden(exp):
+    # regenerate with REPRO_UPDATE_GOLDENS=1, like tests/test_golden_identity.py
+    check_golden(f"{exp}_micro.counters.txt",
+                 _counter_sections(profile_run(exp, micro=True)))
 
 
 def test_profile_report_mentions_host_columns(micro_profile):

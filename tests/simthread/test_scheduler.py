@@ -35,7 +35,13 @@ def test_single_thread_delay_advances_time():
 
 def test_delay_jitter_is_bounded():
     sched = Scheduler(seed=1, jitter=0.1)
-    samples = [sched.jittered(1000) for _ in range(200)]
+
+    def body():
+        yield Delay(1000)
+
+    threads = [sched.spawn(body()) for _ in range(200)]
+    sched.run()
+    samples = [t.finished_at for t in threads]
     assert all(900 <= s <= 1100 for s in samples)
     assert len(set(samples)) > 10  # actually varies
 
@@ -216,33 +222,6 @@ def test_wake_errors():
     t2 = sched.spawn(runnable())
     with pytest.raises(SimThreadError):
         sched.wake(t2)  # not parked
-
-
-def test_max_events_guard():
-    sched = Scheduler()
-
-    def forever():
-        while True:
-            yield Delay(1)
-
-    sched.spawn(forever())
-    with pytest.raises(SimThreadError, match="max_events"):
-        sched.run(max_events=100)
-
-
-def test_max_time_pauses_not_raises():
-    sched = Scheduler(jitter=0.0)
-
-    def slow():
-        for _ in range(10):
-            yield Delay(100)
-
-    t = sched.spawn(slow())
-    sched.run(max_time=250)
-    assert not t.done
-    assert sched.now <= 250
-    sched.run()  # finish the rest
-    assert t.done
 
 
 def test_spawn_requires_generator():

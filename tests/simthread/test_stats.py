@@ -6,10 +6,9 @@ from repro.simthread.stats import lock_rows
 
 
 def run_counted(body_factory, threads=1):
-    """Run a small world with a stats object installed; return (sched, stats)."""
+    """Run a small world, counting its scheduler; return (sched, stats)."""
     sched = Scheduler(jitter=0.0)
-    stats = SchedStats()
-    sched.set_stats(stats)
+    stats = SchedStats(sched)
     for _ in range(threads):
         sched.spawn(body_factory())
     sched.run()
@@ -35,8 +34,7 @@ def test_counters_track_command_kinds():
 
 def test_suspend_and_wake_counted():
     sched = Scheduler(jitter=0.0)
-    stats = SchedStats()
-    sched.set_stats(stats)
+    stats = SchedStats(sched)
 
     def sleeper():
         yield SUSPEND
@@ -55,30 +53,13 @@ def test_suspend_and_wake_counted():
 
 def test_callbacks_counted():
     sched = Scheduler(jitter=0.0)
-    stats = SchedStats()
-    sched.set_stats(stats)
+    stats = SchedStats(sched)
     fired = []
     sched.call_at(10, lambda: fired.append(1))
     sched.call_at(20, lambda: fired.append(2))
     sched.run()
     assert fired == [1, 2]
     assert stats.events_callback == 2
-
-
-def test_stats_object_is_optional_and_detachable():
-    sched = Scheduler(jitter=0.0)
-    assert sched.stats is None
-
-    def body():
-        yield Delay(5)
-
-    sched.spawn(body())
-    sched.run()                      # no stats installed: nothing raises
-    stats = SchedStats()
-    sched.set_stats(stats)
-    sched.set_stats(None)
-    assert sched.stats is None
-    assert stats.gen_steps == 0      # detached before any activity
 
 
 def test_counting_does_not_change_the_schedule():
@@ -96,7 +77,7 @@ def test_counting_does_not_change_the_schedule():
     plain = Scheduler(seed=7)
     world(plain)
     counted = Scheduler(seed=7)
-    counted.set_stats(SchedStats())
+    SchedStats(counted)
     world(counted)
     assert plain.run() == counted.run()
     assert plain.events_processed == counted.events_processed
@@ -131,7 +112,7 @@ def test_lock_rows_derive_tracer_branches():
 
 
 def test_as_dict_order_is_stable():
-    keys = list(SchedStats().as_dict())
+    keys = list(SchedStats(Scheduler()).as_dict())
     assert keys == ["events_delay", "events_yield", "events_suspend",
                     "events_callback", "heap_pushes", "heap_pops",
                     "gen_steps", "wakes", "spawns"]
