@@ -100,14 +100,15 @@ def probe_fig5() -> dict:
     return out
 
 
-def _rmamt_metrics(testbed, threads: int, ops: int) -> dict:
+def _rmamt_metrics(testbed, threads: int, ops: int, msg_bytes: int = 128,
+                   progress: str = "serial") -> dict:
     from repro.core import ThreadingConfig
     from repro.workloads import RmaMtConfig, run_rmamt
 
     result = run_rmamt(
-        RmaMtConfig(threads=threads, ops_per_thread=ops, msg_bytes=128),
+        RmaMtConfig(threads=threads, ops_per_thread=ops, msg_bytes=msg_bytes),
         threading=ThreadingConfig(num_instances=testbed.default_instances,
-                                  assignment="dedicated"),
+                                  assignment="dedicated", progress=progress),
         costs=testbed.costs, fabric=testbed.fabric)
     return {
         "elapsed_ns": result.elapsed_ns,
@@ -118,10 +119,21 @@ def _rmamt_metrics(testbed, threads: int, ops: int) -> dict:
 
 
 def probe_fig6() -> dict:
-    """Figure 6: RMA-MT put+flush on the Haswell/Aries preset."""
+    """Figure 6: RMA-MT put+flush on the Haswell/Aries preset.
+
+    Besides the 128 B serial point, a concurrent-progress 16 KiB point
+    gates the simulated work per put on the path where flush polling
+    dominates (``conc16k.events_per_put``).
+    """
     from repro.experiments import TRINITITE_HASWELL
 
-    return _rmamt_metrics(TRINITITE_HASWELL, threads=16, ops=150)
+    out = _rmamt_metrics(TRINITITE_HASWELL, threads=16, ops=150)
+    threads, ops = 16, 20
+    conc = _rmamt_metrics(TRINITITE_HASWELL, threads=threads, ops=ops,
+                          msg_bytes=16384, progress="concurrent")
+    out["conc16k.events"] = conc["events"]
+    out["conc16k.events_per_put"] = round(conc["events"] / (threads * ops), 3)
+    return out
 
 
 def probe_fig7() -> dict:
