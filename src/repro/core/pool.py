@@ -52,6 +52,10 @@ class CRIPool:
         self.drained_events = 0
         #: dedicated (TLS) assignments re-run because the instance died
         self.migrations = 0
+        #: idle flush pollers parked on this pool, in park order (see
+        #: :func:`repro.mpi.rma.ops.flush`); while any is, a push into
+        #: any CQ of the pool wakes them all
+        self.parked: dict = {}
 
     def __len__(self) -> int:
         return len(self.instances)
@@ -91,6 +95,28 @@ class CRIPool:
             survivor.cq.push(event)
         self.drained_events += len(rescued)
         return survivor
+
+    # ------------------------------------------------------------------
+    # parked pollers
+    # ------------------------------------------------------------------
+    def park(self, waiter) -> None:
+        """Register a parked poller: ``waiter.wake()`` runs at the next
+        push into any of the pool's CQs (unless :meth:`unpark` ran)."""
+        if not self.parked:
+            for cri in self.instances:
+                cri.cq.on_push = self._wake_parked
+        self.parked[waiter] = None
+
+    def unpark(self, waiter) -> None:
+        """Drop a parked poller (no-op if it is not registered)."""
+        self.parked.pop(waiter, None)
+        if not self.parked:
+            for cri in self.instances:
+                cri.cq.on_push = None
+
+    def _wake_parked(self) -> None:
+        for waiter in list(self.parked):
+            waiter.wake()
 
     # ------------------------------------------------------------------
     # Algorithm 1

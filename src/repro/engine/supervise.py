@@ -120,14 +120,21 @@ class _Worker:
     sent: int = field(default=0)  #: tasks handed to this process
 
 
-def _worker_main(conn, path_entries, faults) -> None:
+def _worker_main(conn, path_entries, faults, inherited=()) -> None:
     """Worker loop: run assigned tasks until the None sentinel.
 
     Messages back to the parent: ``("done", pid, index, attempt, value,
     busy_ns)`` or ``("error", pid, index, attempt, reason)``.  Fault
     injection happens *before* the trial runs and sends are synchronous,
     so a killed worker never leaves a half-reported outcome.
+
+    ``inherited`` are the parent-side pipe ends a forked worker got a
+    copy of (its own and every earlier worker's).  Closing them leaves
+    the parent the only holder, so when it dies ``conn.recv()`` sees EOF
+    and the worker exits instead of blocking forever as an orphan.
     """
+    for parent_end in inherited:
+        parent_end.close()
     for entry in reversed(path_entries):
         if entry not in sys.path:
             sys.path.insert(0, entry)
@@ -149,11 +156,15 @@ def _worker_main(conn, path_entries, faults) -> None:
         try:
             value = task.run()
         except BaseException as exc:
-            conn.send(("error", pid, index, attempt,
-                       f"{type(exc).__name__}: {exc}"))
-            continue
-        conn.send(("done", pid, index, attempt, value,
-                   time.perf_counter_ns() - start))
+            message = ("error", pid, index, attempt,
+                       f"{type(exc).__name__}: {exc}")
+        else:
+            message = ("done", pid, index, attempt, value,
+                       time.perf_counter_ns() - start)
+        try:
+            conn.send(message)
+        except OSError:
+            return              # parent is gone: nothing left to report to
 
 
 class _Supervisor:
@@ -181,14 +192,19 @@ class _Supervisor:
         methods = multiprocessing.get_all_start_methods()
         self.ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else "spawn")
-        self.workers = [self._spawn() for _ in range(min(jobs, len(tasks)))]
+        self.workers: list[_Worker] = []
+        for _ in range(min(jobs, len(tasks))):
+            self.workers.append(self._spawn())
 
     # ------------------------------------------------------------------
     def _spawn(self) -> _Worker:
         parent_conn, child_conn = self.ctx.Pipe()
+        inherited = ()
+        if self.ctx.get_start_method() == "fork":
+            inherited = [w.conn for w in self.workers] + [parent_conn]
         proc = self.ctx.Process(
             target=_worker_main,
-            args=(child_conn, list(sys.path), self.faults),
+            args=(child_conn, list(sys.path), self.faults, inherited),
             daemon=True)
         proc.start()
         child_conn.close()      # only the worker holds its end now

@@ -63,6 +63,9 @@ class Window:
         self._epochs: dict[int, set] = {rank: set() for rank in comm.ranks}
         # per-initiator transport errors awaiting the next flush
         self._errors: dict[int, list] = {rank: [] for rank in comm.ranks}
+        # parked flush pollers: (origin, target or None for all targets)
+        # -> waiters whose ``wake()`` runs when that count reaches 0
+        self._waiters: dict[tuple, list] = {}
 
     # ------------------------------------------------------------------
     def buffer(self, rank: int) -> np.ndarray:
@@ -130,13 +133,39 @@ class Window:
         pending = self._pending[op.origin]
         if op in pending:
             pending.remove(op)
-            self._per_target[op.origin][op.target] -= 1
+            counts = self._per_target[op.origin]
+            counts[op.target] -= 1
+            if self._waiters:
+                if not counts[op.target]:
+                    self._wake((op.origin, op.target))
+                if not pending:
+                    self._wake((op.origin, None))
 
     def outstanding(self, origin: int, target: int | None = None) -> int:
         """Count ``origin``'s in-flight ops (optionally to one ``target``)."""
         if target is None:
             return len(self._pending[origin])
         return self._per_target[origin].get(target, 0)
+
+    def add_waiter(self, key: tuple, waiter) -> None:
+        """Run ``waiter.wake()`` when the count ``key`` names reaches 0.
+
+        ``key`` is ``(origin, target)``, or ``(origin, None)`` for all of
+        ``origin``'s ops; a waiter fires at most once.
+        """
+        self._waiters.setdefault(key, []).append(waiter)
+
+    def drop_waiter(self, key: tuple, waiter) -> None:
+        """Forget a waiter registered under ``key`` (no-op if absent)."""
+        waiters = self._waiters.get(key)
+        if waiters is not None and waiter in waiters:
+            waiters.remove(waiter)
+            if not waiters:
+                del self._waiters[key]
+
+    def _wake(self, key: tuple) -> None:
+        for waiter in self._waiters.pop(key, ()):
+            waiter.wake()
 
     def note_error(self, origin: int, error: Exception) -> None:
         """Record a transport failure for ``origin``'s next flush

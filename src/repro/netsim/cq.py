@@ -59,7 +59,8 @@ class TransportFailure:
 class CompletionQueue:
     """FIFO of completion events for one network context."""
 
-    __slots__ = ("ctx", "_events", "events_pushed", "events_polled", "high_watermark")
+    __slots__ = ("ctx", "_events", "events_pushed", "events_polled", "high_watermark",
+                 "on_push")
 
     def __init__(self, ctx):
         self.ctx = ctx
@@ -67,6 +68,9 @@ class CompletionQueue:
         self.events_pushed = 0
         self.events_polled = 0
         self.high_watermark = 0
+        #: zero-argument callback fired after every push while set; the
+        #: CRI pool sets it while idle flush pollers are parked on it
+        self.on_push = None
 
     def push(self, event) -> None:
         """Enqueue a hardware completion event."""
@@ -75,6 +79,8 @@ class CompletionQueue:
         self.events_pushed += 1
         if len(events) > self.high_watermark:
             self.high_watermark = len(events)
+        if self.on_push is not None:
+            self.on_push()
 
     def poll(self, max_events: int | None = None) -> list:
         """Drain up to ``max_events`` events (all if ``None``)."""

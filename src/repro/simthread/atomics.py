@@ -55,6 +55,13 @@ class AtomicCounter:
         self.operations += 1
         return old
 
+    def credit(self, n: int) -> None:
+        """Account ``n`` single tickets (``take()`` calls) taken without
+        running them: value and operations both advance by ``n``, and
+        nobody pays their cost."""
+        self._value += n
+        self.operations += n
+
     def store(self, value: int):
         """Generator: atomic store."""
         self._value = value

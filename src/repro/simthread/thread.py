@@ -62,12 +62,18 @@ class SimThread:
         """Cumulative virtual time this thread spent *running* (ns).
 
         The sum of every ``Delay`` cost the thread has yielded -- its
-        on-CPU time in the simulation.  Time parked on a lock or waiting
-        for a wake is excluded, so ``lifetime - run_time_ns`` is the
-        thread's blocked time.  Read-only: the scheduler accounts it as
-        delays are processed.
+        on-CPU time in the simulation -- plus any spin the model elided
+        (:meth:`add_run_time`).  Time parked on a lock or waiting for a
+        wake is excluded, so ``lifetime - run_time_ns`` is the thread's
+        blocked time.  Read-only: the scheduler accounts it as delays
+        are processed.
         """
         return self._run_ns
+
+    def add_run_time(self, ns: int) -> None:
+        """Count ``ns`` of on-CPU time spent outside ``Delay`` commands
+        (a spin the model elided while the thread was parked)."""
+        self._run_ns += ns
 
     # ------------------------------------------------------------------
     def _finish(self, result) -> None:

@@ -90,7 +90,27 @@ def _clean_reference(tmp_path, env):
     return (out / "ext-modes.csv").read_bytes()
 
 
-def _interrupt_mid_sweep(tmp_path, env, sig):
+def _children(pid: int) -> set[int]:
+    """The live children of ``pid`` (Linux ``/proc`` task lists)."""
+    kids = set()
+    for task in pathlib.Path(f"/proc/{pid}/task").glob("*"):
+        try:
+            kids.update(int(k) for k in (task / "children").read_text().split())
+        except OSError:
+            pass
+    return kids
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` is still running (a zombie counts as gone)."""
+    try:
+        stat = pathlib.Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def _interrupt_mid_sweep(tmp_path, env, sig, workers=None):
     out = tmp_path / "victim"
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "run", "ext-modes",
@@ -98,6 +118,8 @@ def _interrupt_mid_sweep(tmp_path, env, sig):
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     time.sleep(0.8)                          # let some trials journal
     if proc.poll() is None:
+        if workers is not None:
+            workers.update(_children(proc.pid))
         proc.send_signal(sig)
     proc.wait(timeout=60)
     return out
@@ -114,7 +136,13 @@ def _assert_resume_completes(tmp_path, env, out, reference):
 def test_sigkill_mid_sweep_then_resume_byte_identical(tmp_path):
     env = _cli_env(tmp_path)
     reference = _clean_reference(tmp_path, env)
-    out = _interrupt_mid_sweep(tmp_path, env, signal.SIGKILL)
+    workers: set[int] = set()
+    out = _interrupt_mid_sweep(tmp_path, env, signal.SIGKILL, workers)
+    # the killed parent's pool workers must not outlive it as orphans
+    deadline = time.monotonic() + 10
+    while any(_alive(pid) for pid in workers) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    assert not [pid for pid in workers if _alive(pid)]
     _assert_resume_completes(tmp_path, env, out, reference)
 
 
